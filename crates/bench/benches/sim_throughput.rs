@@ -235,8 +235,10 @@ fn codec_batched_loop(iters: u64, window: u64) -> (f64, f64) {
 /// loop clients, PMNet switch device, server) run to completion, scored
 /// as completed client operations per host second. This prices the whole
 /// stack — event loop, codec, device, server — so a regression anywhere
-/// moves it even when the codec microbenchmark stays flat.
-fn e2e_ops_per_sec(clients: usize, updates_per_client: usize, window: u32) -> f64 {
+/// moves it even when the codec microbenchmark stays flat. Also returns
+/// the event list's insertions per delivered event (cascade moves
+/// included), the price of the wheel's bookkeeping on real traffic.
+fn e2e_ops_per_sec(clients: usize, updates_per_client: usize, window: u32) -> (f64, f64) {
     let cfg = SystemConfig {
         batch: BatchConfig::windowed(window),
         ..SystemConfig::default()
@@ -255,7 +257,8 @@ fn e2e_ops_per_sec(clients: usize, updates_per_client: usize, window: u32) -> f6
         clients * updates_per_client,
         "e2e benchmark workload must finish (window {window})"
     );
-    m.completed as f64 / wall
+    let inserts_per_event = sys.world.wheel_inserts() as f64 / sys.world.events_delivered() as f64;
+    (m.completed as f64 / wall, inserts_per_event)
 }
 
 fn campaign_wall_ms(plans: usize) -> (u128, u64) {
@@ -509,9 +512,19 @@ fn main() {
         "sim_throughput: e2e system run ({e2e_clients} clients x {e2e_updates} updates, \
          windows 1 and 16)"
     );
-    let e2e_ops = e2e_ops_per_sec(e2e_clients, e2e_updates, 1);
-    let e2e_ops_batched = e2e_ops_per_sec(e2e_clients, e2e_updates, 16);
-    eprintln!("  window 1: {e2e_ops:.0} ops/s  window 16: {e2e_ops_batched:.0} ops/s");
+    let (e2e_ops, e2e_inserts) = e2e_ops_per_sec(e2e_clients, e2e_updates, 1);
+    let (e2e_ops_batched, _) = e2e_ops_per_sec(e2e_clients, e2e_updates, 16);
+    eprintln!(
+        "  window 1: {e2e_ops:.0} ops/s ({e2e_inserts:.2} wheel inserts/event)  \
+         window 16: {e2e_ops_batched:.0} ops/s"
+    );
+    // Deterministic count: packet hops fit level 0 of the tick-granular
+    // wheel, so almost every event is placed once (~1.15). A level 0
+    // narrower than a hop cascades most events at least once (~2.4).
+    assert!(
+        e2e_inserts <= 1.5,
+        "event list re-inserts too much: {e2e_inserts:.3} inserts per delivered event"
+    );
 
     eprintln!("sim_throughput: lossy-recovery campaign (seed 77, {plans} plans)");
     let (wall_ms, digest) = campaign_wall_ms(plans);
@@ -595,7 +608,7 @@ fn main() {
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"schema\": \"pmnet-sim-bench/1\",\n  \"mode\": \"{mode}\",\n  \"event_list\": {{\n    \"hold\": {hold},\n    \"iters\": {iters},\n    \"wheel_events_per_sec\": {wheel_eps:.1},\n    \"heap_events_per_sec\": {heap_eps:.1},\n    \"speedup_vs_heap\": {speedup:.3},\n    \"allocs_per_event\": {wheel_ape:.4}\n  }},\n  \"codec\": {{\n    \"iters\": {codec_iters},\n    \"frames_per_sec\": {frames_ps:.1},\n    \"allocs_per_frame\": {allocs_pf:.4},\n    \"frames_per_sec_batched\": {frames_ps_batched:.1},\n    \"allocs_per_frame_batched\": {allocs_pf_batched:.4}\n  }},\n  \"e2e\": {{\n    \"clients\": {e2e_clients},\n    \"updates_per_client\": {e2e_updates},\n    \"ops_per_sec\": {e2e_ops:.1},\n    \"ops_per_sec_batched\": {e2e_ops_batched:.1}\n  }},\n  \"campaign\": {{\n    \"plans\": {plans},\n    \"wall_ms\": {wall_ms},\n    \"digest\": \"{digest:#018x}\",\n    \"threads\": {threads}\n  }},\n  \"fabric\": {{\n    \"sat_gbps_1_shard\": {sat1:.3},\n    \"sat_gbps_2_shards\": {sat2:.3},\n    \"sat_gbps_4_shards\": {sat4:.3},\n    \"scaling_4_vs_1\": {ratio41:.3}\n  }},\n  \"lock_fraction\": {{\n    \"lock_permille\": {LOCK_PERMILLE},\n    \"ops_per_sim_sec_1_thread\": {lf_ops_1:.1},\n    \"ops_per_sim_sec_4_threads\": {lf_ops_4:.1},\n    \"apply_scaling_4_vs_1\": {lf_scaling:.3},\n    \"same_key_fences\": {lf_fences}\n  }},\n  \"traffic\": {{\n    \"capacity_ops_per_sim_sec\": {tr_capacity:.1},\n    \"overload_factor\": 1.5,\n    \"goodput_ops_per_sim_sec\": {tr_goodput:.1},\n    \"goodput_over_capacity\": {tr_ratio:.3},\n    \"peak_log_entries\": {tr_peak_log},\n    \"traffic_wall_ops_per_sec\": {tr_wall_ops:.1}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"pmnet-sim-bench/1\",\n  \"mode\": \"{mode}\",\n  \"event_list\": {{\n    \"hold\": {hold},\n    \"iters\": {iters},\n    \"wheel_events_per_sec\": {wheel_eps:.1},\n    \"heap_events_per_sec\": {heap_eps:.1},\n    \"speedup_vs_heap\": {speedup:.3},\n    \"allocs_per_event\": {wheel_ape:.4}\n  }},\n  \"codec\": {{\n    \"iters\": {codec_iters},\n    \"frames_per_sec\": {frames_ps:.1},\n    \"allocs_per_frame\": {allocs_pf:.4},\n    \"frames_per_sec_batched\": {frames_ps_batched:.1},\n    \"allocs_per_frame_batched\": {allocs_pf_batched:.4}\n  }},\n  \"e2e\": {{\n    \"clients\": {e2e_clients},\n    \"updates_per_client\": {e2e_updates},\n    \"ops_per_sec\": {e2e_ops:.1},\n    \"ops_per_sec_batched\": {e2e_ops_batched:.1},\n    \"wheel_inserts_per_event\": {e2e_inserts:.3}\n  }},\n  \"campaign\": {{\n    \"plans\": {plans},\n    \"wall_ms\": {wall_ms},\n    \"digest\": \"{digest:#018x}\",\n    \"threads\": {threads}\n  }},\n  \"fabric\": {{\n    \"sat_gbps_1_shard\": {sat1:.3},\n    \"sat_gbps_2_shards\": {sat2:.3},\n    \"sat_gbps_4_shards\": {sat4:.3},\n    \"scaling_4_vs_1\": {ratio41:.3}\n  }},\n  \"lock_fraction\": {{\n    \"lock_permille\": {LOCK_PERMILLE},\n    \"ops_per_sim_sec_1_thread\": {lf_ops_1:.1},\n    \"ops_per_sim_sec_4_threads\": {lf_ops_4:.1},\n    \"apply_scaling_4_vs_1\": {lf_scaling:.3},\n    \"same_key_fences\": {lf_fences}\n  }},\n  \"traffic\": {{\n    \"capacity_ops_per_sim_sec\": {tr_capacity:.1},\n    \"overload_factor\": 1.5,\n    \"goodput_ops_per_sim_sec\": {tr_goodput:.1},\n    \"goodput_over_capacity\": {tr_ratio:.3},\n    \"peak_log_entries\": {tr_peak_log},\n    \"traffic_wall_ops_per_sec\": {tr_wall_ops:.1}\n  }}\n}}\n",
         ratio41 = sat4 / sat1,
         mode = if fast { "fast" } else { "full" },
     );

@@ -328,6 +328,17 @@ impl World {
         self.engine.pending()
     }
 
+    /// Number of events delivered so far.
+    pub fn events_delivered(&self) -> u64 {
+        self.engine.delivered()
+    }
+
+    /// Number of event-list insertions so far, cascade moves included
+    /// (see [`pmnet_sim::Engine::inserts`]).
+    pub fn wheel_inserts(&self) -> u64 {
+        self.engine.inserts()
+    }
+
     /// The port table (for reading counters in tests and benches).
     pub fn ports(&self) -> &PortTable {
         &self.ports
@@ -411,11 +422,7 @@ impl World {
     /// Runs until the event list is drained or `deadline` is passed.
     /// Events scheduled exactly at `deadline` are processed.
     pub fn run_until(&mut self, deadline: Time) {
-        while let Some(t) = self.engine.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (at, dest, msg) = self.engine.pop().expect("peeked event vanished");
+        while let Some((at, dest, msg)) = self.engine.pop_until(deadline) {
             self.dispatch(at, dest, msg);
         }
     }

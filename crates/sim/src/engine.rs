@@ -5,14 +5,17 @@
 //! hop, timer, and injection passes through it twice (schedule + pop). A
 //! binary heap gives `O(log n)` per operation; the hierarchical timer wheel
 //! used here (Varghese & Lauck) gives amortized `O(1)` for the short-delay
-//! events that dominate PMNet traffic (sub-microsecond switch hops, RTT-scale
-//! timers), falling back to an overflow heap only for events beyond the
-//! wheel horizon (~16.8 ms of simulated time).
+//! events that dominate PMNet traffic. The wheel slots 256 ns ticks, not
+//! nanoseconds: every hop under ~16 µs (serialization, propagation, host
+//! stack, PM persist, switch pipeline) inserts straight into level 0 and is
+//! never cascaded, and RTT-scale timers sit in levels 1–2. Events beyond
+//! the wheel horizon (~4.3 s of simulated time) fall back to an overflow
+//! heap.
 //!
 //! Determinism is preserved exactly: events are delivered in `(time, seq)`
 //! order, where `seq` is the global schedule counter, matching the previous
-//! heap implementation bit for bit. Property tests below check
-//! order-equivalence against a reference model.
+//! heap implementation bit for bit. Property tests check order-equivalence
+//! against a reference model.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -71,17 +74,26 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
+/// log2 of the wheel tick in nanoseconds: slots index 256 ns ticks, so
+/// one level-0 slot holds every event of one tick, in several timestamps.
+const TICK_SHIFT: u32 = 8;
 /// log2 of the slot count per wheel level.
 const SLOT_BITS: u32 = 6;
 /// Slots per level (64, so one `u64` occupancy bitmap per level).
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `i` ticks every `64^i` ns.
+/// Wheel levels. A level-`i` slot spans `64^i` ticks.
 const LEVELS: usize = 4;
-/// Delays at or beyond this many nanoseconds go to the overflow heap
-/// (`64^4` ns ≈ 16.8 ms of simulated time).
+/// Delays of at least this many ticks go to the overflow heap
+/// (`64^4` ticks of 256 ns ≈ 4.3 s of simulated time).
 const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
-/// Wheel level for a delay strictly below [`HORIZON`].
+/// The wheel tick holding timestamp `at`.
+#[inline]
+fn tick(at: Time) -> u64 {
+    at.as_nanos() >> TICK_SHIFT
+}
+
+/// Wheel level for a delay of `delta` ticks, strictly below [`HORIZON`].
 #[inline]
 fn level_for(delta: u64) -> usize {
     debug_assert!(delta < HORIZON);
@@ -92,30 +104,27 @@ fn level_for(delta: u64) -> usize {
     }
 }
 
-/// Slot index for an absolute timestamp at a given level.
+/// Slot index for an absolute tick at a given level.
 #[inline]
-fn slot_for(at: Time, level: usize) -> usize {
-    ((at.as_nanos() >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
+fn slot_for(tick: u64, level: usize) -> usize {
+    ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
 }
+
+/// Where the earliest event above level 0 lives: `(at, level, slot)`, with
+/// `level == LEVELS` marking the overflow heap.
+type Loc = (Time, usize, usize);
 
 struct Slot<M> {
+    /// Unordered, except in a `sorted` level-0 slot.
     events: Vec<Scheduled<M>>,
-    /// Earliest timestamp among `events`; meaningless when empty.
+    /// Earliest timestamp among `events` (levels `>= 1` only); meaningless
+    /// when empty.
     min_at: Time,
-    /// Whether `events` is sorted descending by `seq` (level 0 only: the
-    /// active slot holds a single timestamp, so delivery order is seq
-    /// order and a sorted slot delivers by popping from the back).
+    /// Level 0 only: `events` is sorted descending by `(at, seq)`, so the
+    /// back is the next delivery. A slot is sorted once, when it becomes
+    /// the earliest occupied one; later inserts into it keep the order by
+    /// binary insertion, and it turns unsorted again when it drains.
     sorted: bool,
-}
-
-impl<M> Slot<M> {
-    fn push(&mut self, ev: Scheduled<M>) {
-        if self.events.is_empty() || ev.at < self.min_at {
-            self.min_at = ev.at;
-        }
-        self.events.push(ev);
-        self.sorted = false;
-    }
 }
 
 struct Level<M> {
@@ -132,7 +141,7 @@ impl<M> Level<M> {
                 .map(|_| Slot {
                     events: Vec::new(),
                     min_at: Time::ZERO,
-                    sorted: true,
+                    sorted: false,
                 })
                 .collect(),
         }
@@ -169,11 +178,12 @@ pub struct Engine<M> {
     seq: u64,
     delivered: u64,
     pending: usize,
-    /// Memoized [`Engine::earliest_higher`] result; `None` when dirty.
-    /// Level-0 traffic (the common case) neither reads nor invalidates the
-    /// higher levels, so the per-pop scan is skipped entirely until an
-    /// insert or cascade touches a level `>= 1` or the overflow heap.
-    higher_cache: std::cell::Cell<Option<Option<(Time, usize, usize)>>>,
+    inserts: u64,
+    /// Memoized [`Engine::earliest_higher`]; `None` when stale. An insert
+    /// keeps it exact (a new upper-level event can only lower the
+    /// minimum), so only a cascade, which removes events from above level
+    /// 0, forces a rescan.
+    higher: Option<Option<Loc>>,
 }
 
 impl<M> Default for Engine<M> {
@@ -192,7 +202,8 @@ impl<M> Engine<M> {
             seq: 0,
             delivered: 0,
             pending: 0,
-            higher_cache: std::cell::Cell::new(Some(None)),
+            inserts: 0,
+            higher: Some(None),
         }
     }
 
@@ -209,6 +220,14 @@ impl<M> Engine<M> {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.pending
+    }
+
+    /// Number of insertions into a wheel slot or the overflow heap so far,
+    /// counting both schedules and cascade moves. Divided by
+    /// [`Engine::delivered`] it prices the wheel's bookkeeping per event:
+    /// 1.0 means every event was placed once and never cascaded.
+    pub fn inserts(&self) -> u64 {
+        self.inserts
     }
 
     /// Schedules `msg` for delivery to `dest` at absolute time `at`.
@@ -240,35 +259,54 @@ impl<M> Engine<M> {
         self.schedule(at, dest, msg);
     }
 
-    /// Places an event into the wheel level matching its delay, or the
-    /// overflow heap if it lies beyond the horizon. `ev.at >= self.now`
-    /// must hold.
+    /// Places an event into the wheel level matching its delay in ticks,
+    /// or the overflow heap if it lies beyond the horizon. `ev.at >=
+    /// self.now` must hold.
     fn insert(&mut self, ev: Scheduled<M>) {
-        let delta = ev.at.as_nanos() - self.now.as_nanos();
-        if delta >= HORIZON {
+        self.inserts += 1;
+        let at = ev.at;
+        let delta = tick(at) - tick(self.now);
+        let loc = if delta >= HORIZON {
             self.overflow.push(ev);
-            self.higher_cache.set(None);
-            return;
+            (at, LEVELS, 0)
+        } else {
+            let lvl = level_for(delta);
+            let s = slot_for(tick(at), lvl);
+            let level = &mut self.levels[lvl];
+            level.occupied |= 1 << s;
+            let slot = &mut level.slots[s];
+            if lvl == 0 {
+                if slot.sorted {
+                    let key = (at, ev.seq);
+                    let i = slot.events.partition_point(|e| (e.at, e.seq) > key);
+                    slot.events.insert(i, ev);
+                } else {
+                    slot.events.push(ev);
+                }
+                return;
+            }
+            if slot.events.is_empty() || at < slot.min_at {
+                slot.min_at = at;
+            }
+            slot.events.push(ev);
+            (at, lvl, s)
+        };
+        if let Some(h) = &mut self.higher {
+            if h.is_none_or(|(m, _, _)| at < m) {
+                *h = Some(loc);
+            }
         }
-        let lvl = level_for(delta);
-        let slot = slot_for(ev.at, lvl);
-        if lvl > 0 {
-            self.higher_cache.set(None);
-        }
-        let level = &mut self.levels[lvl];
-        level.slots[slot].push(ev);
-        level.occupied |= 1 << slot;
     }
 
     /// First occupied level-0 slot, scanning circularly from the cursor.
-    /// Level-0 events all lie in `[now, now + 64)`, so this slot holds the
-    /// level's earliest events and every event in it shares one timestamp.
+    /// Level-0 events all lie in the 64 ticks from the cursor's, one tick
+    /// per slot, so this slot holds the level's earliest events.
     fn level0_slot(&self) -> Option<usize> {
         let occ = self.levels[0].occupied;
         if occ == 0 {
             return None;
         }
-        let start = (self.now.as_nanos() & (SLOTS as u64 - 1)) as u32;
+        let start = (tick(self.now) & (SLOTS as u64 - 1)) as u32;
         let d = occ.rotate_right(start).trailing_zeros();
         Some(((start + d) as usize) & (SLOTS - 1))
     }
@@ -282,7 +320,7 @@ impl<M> Engine<M> {
         if level.occupied == 0 {
             return [None, None];
         }
-        let cur = ((self.now.as_nanos() >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as u32;
+        let cur = slot_for(tick(self.now), lvl) as u32;
         let c0 = if level.occupied & (1 << cur) != 0 {
             Some(cur as usize)
         } else {
@@ -297,10 +335,9 @@ impl<M> Engine<M> {
         [c0, c1]
     }
 
-    /// Earliest `(min_at, level, slot)` among levels `>= 1`, with
-    /// `level == LEVELS` marking the overflow heap.
-    fn earliest_higher(&self) -> Option<(Time, usize, usize)> {
-        let mut best: Option<(Time, usize, usize)> = None;
+    /// Earliest event among levels `>= 1` and the overflow heap.
+    fn earliest_higher(&self) -> Option<Loc> {
+        let mut best: Option<Loc> = None;
         for lvl in 1..LEVELS {
             for slot in self.level_candidates(lvl).into_iter().flatten() {
                 let m = self.levels[lvl].slots[slot].min_at;
@@ -317,41 +354,27 @@ impl<M> Engine<M> {
         best
     }
 
-    /// [`Engine::earliest_higher`] through the memo. Valid between
-    /// structural changes to levels `>= 1` / overflow: advancing `now`
-    /// moves the candidate cursors but cannot change which event is the
-    /// levels' minimum, so only inserts and cascades invalidate.
-    fn earliest_higher_cached(&self) -> Option<(Time, usize, usize)> {
-        if let Some(c) = self.higher_cache.get() {
-            return c;
-        }
-        let c = self.earliest_higher();
-        self.higher_cache.set(Some(c));
-        c
-    }
-
-    /// Moves every event of the current tick out of `slots[slot]` at `lvl`
-    /// into lower levels. The cursor must already sit at the slot's minimum
-    /// timestamp, so each moved event descends at least one level (the
-    /// earliest lands in level 0). Events one full rotation ahead stay put.
+    /// Moves the events of `slots[slot]` at `lvl` that lie within one slot
+    /// width of the cursor into lower levels. The cursor must already sit
+    /// at the slot's minimum timestamp, so each moved event descends at
+    /// least one level (the earliest lands in level 0). Events one full
+    /// rotation ahead stay put. A drained slot releases its buffer, so a
+    /// burst of long timers does not pin its peak footprint in every slot
+    /// it passed through.
     fn cascade(&mut self, lvl: usize, slot: usize) {
         let width = 1u64 << (SLOT_BITS * lvl as u32);
-        let now = self.now.as_nanos();
-        // Partition in place with swap_remove so the slot keeps its
-        // allocation: steady-state cascades are allocation-free. Moved
-        // events always land at a strictly lower level, so `insert` never
-        // touches the Vec being partitioned.
+        let now = tick(self.now);
+        // Moved events always land at a strictly lower level, so `insert`
+        // never touches the Vec being partitioned.
         let mut events = std::mem::take(&mut self.levels[lvl].slots[slot].events);
         let mut min_keep = Time::MAX;
         let mut i = 0;
         while i < events.len() {
-            if events[i].at.as_nanos() - now < width {
+            if tick(events[i].at) - now < width {
                 let ev = events.swap_remove(i);
                 self.insert(ev);
             } else {
-                if events[i].at < min_keep {
-                    min_keep = events[i].at;
-                }
+                min_keep = min_keep.min(events[i].at);
                 i += 1;
             }
         }
@@ -360,45 +383,72 @@ impl<M> Engine<M> {
             level.occupied &= !(1 << slot);
         } else {
             level.slots[slot].min_at = min_keep;
+            level.slots[slot].events = events;
         }
-        level.slots[slot].events = events;
-        self.higher_cache.set(None);
+        self.higher = None;
     }
 
     /// Pulls overflow events that now fall within the wheel horizon. The
     /// cursor must already sit at the overflow minimum.
     fn cascade_overflow(&mut self) {
-        let now = self.now.as_nanos();
+        let now = tick(self.now);
         while let Some(top) = self.overflow.peek() {
-            if top.at.as_nanos() - now >= HORIZON {
+            if tick(top.at) - now >= HORIZON {
                 break;
             }
             let ev = self.overflow.pop().expect("peeked entry vanished");
             self.insert(ev);
         }
-        self.higher_cache.set(None);
+        self.higher = None;
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the event list is empty (simulation complete).
     pub fn pop(&mut self) -> Option<(Time, NodeId, M)> {
+        self.pop_until(Time::MAX)
+    }
+
+    /// Pops the next event if it is due at or before `deadline`, advancing
+    /// the clock to its timestamp.
+    ///
+    /// Returns `None` when no event is due by `deadline`; the event list
+    /// and the clock are then left exactly as they were.
+    pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, NodeId, M)> {
         if self.pending == 0 {
             return None;
         }
         loop {
-            let t0 = self
-                .level0_slot()
-                .map(|s| (self.levels[0].slots[s].min_at, s));
+            let s0 = self.level0_slot();
+            let t0 = s0.map(|s| {
+                let slot = &mut self.levels[0].slots[s];
+                if !slot.sorted {
+                    slot.events
+                        .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+                    slot.sorted = true;
+                }
+                slot.events.last().expect("occupied slot was empty").at
+            });
+            let higher = match self.higher {
+                Some(h) => h,
+                None => {
+                    let h = self.earliest_higher();
+                    self.higher = Some(h);
+                    h
+                }
+            };
             // Cascade any higher source that could hold an event at or
             // before the level-0 minimum: a same-timestamp event living at
             // a higher level may carry a smaller seq and must be delivered
             // first for stable FIFO.
-            if let Some((m, lvl, slot)) = self.earliest_higher_cached() {
-                if t0.is_none_or(|(t, _)| m <= t) {
+            if let Some((m, lvl, slot)) = higher {
+                if t0.is_none_or(|t| m <= t) {
+                    if m > deadline {
+                        return None;
+                    }
                     // `m` is the global minimum pending timestamp, so the
                     // cursor may advance to it; every moved event then has
-                    // delay < the source level's tick and descends.
+                    // delay < the source level's slot width and descends.
                     debug_assert!(m >= self.now);
                     self.now = m;
                     if lvl == LEVELS {
@@ -409,22 +459,18 @@ impl<M> Engine<M> {
                     continue;
                 }
             }
-            let (_, s) = t0.expect("pending > 0 but no event found");
-            let slot = &mut self.levels[0].slots[s];
-            // Stable FIFO among simultaneous events: deliver smallest seq.
-            // The active level-0 slot holds a single timestamp, so sorting
-            // it descending by seq once makes every delivery an O(1) pop
-            // from the back; pushes mark the slot unsorted again.
-            if !slot.sorted {
-                if slot.events.len() > 1 {
-                    slot.events
-                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
-                }
-                slot.sorted = true;
+            let s = s0.expect("pending > 0 but no event found");
+            if t0.is_some_and(|t| t > deadline) {
+                return None;
             }
-            let ev = slot.events.pop().expect("occupied slot was empty");
-            if slot.events.is_empty() {
-                self.levels[0].occupied &= !(1 << s);
+            let level = &mut self.levels[0];
+            let ev = level.slots[s]
+                .events
+                .pop()
+                .expect("occupied slot was empty");
+            if level.slots[s].events.is_empty() {
+                level.slots[s].sorted = false;
+                level.occupied &= !(1 << s);
             }
             assert!(ev.at >= self.now, "event list ordering violated");
             self.now = ev.at;
@@ -436,19 +482,22 @@ impl<M> Engine<M> {
 
     /// The timestamp of the next pending event, if any.
     ///
-    /// Exact and read-only: the runtime uses this to stop at deadlines
-    /// without disturbing the event list.
+    /// Exact and read-only: it neither cascades nor moves the clock.
     pub fn peek_time(&self) -> Option<Time> {
         if self.pending == 0 {
             return None;
         }
-        let mut best = self.level0_slot().map(|s| self.levels[0].slots[s].min_at);
-        if let Some((m, _, _)) = self.earliest_higher_cached() {
-            if best.is_none_or(|b| m < b) {
-                best = Some(m);
-            }
+        let t0 = self
+            .level0_slot()
+            .and_then(|s| self.levels[0].slots[s].events.iter().map(|e| e.at).min());
+        let higher = self
+            .higher
+            .unwrap_or_else(|| self.earliest_higher())
+            .map(|(m, _, _)| m);
+        match (t0, higher) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        best
     }
 }
 
@@ -536,32 +585,108 @@ mod tests {
     #[test]
     fn same_time_events_at_different_wheel_levels_stay_fifo() {
         // A is scheduled far ahead (lands at level 1); B is scheduled later
-        // (larger seq) for the same instant but from a nearer now (level 0).
-        // Delivery must still be A before B.
+        // (larger seq) for the same instant, and C from a nearer now
+        // (level 0). Delivery must still be A, B, C.
+        let us = |n: u64| Time::from_nanos(n * 1_000);
         let mut e: Engine<&str> = Engine::new();
-        e.schedule(Time::from_nanos(1), 0, "tick");
-        e.schedule(Time::from_nanos(100), 0, "a"); // delta 100 -> level 1
-        let _ = e.pop(); // now = 1
-        e.schedule(Time::from_nanos(100), 0, "b"); // delta 99 -> level 1
-        e.schedule(Time::from_nanos(80), 0, "near"); // delta 79 -> level 1
-        let _ = e.pop(); // now = 80
-        e.schedule(Time::from_nanos(100), 0, "c"); // delta 20 -> level 0
+        e.schedule(us(1), 0, "tick");
+        e.schedule(us(100), 0, "a"); // 390 ticks -> level 1
+        let _ = e.pop(); // now = 1 us
+        e.schedule(us(100), 0, "b"); // 386 ticks -> level 1
+        e.schedule(us(90), 0, "near"); // 347 ticks -> level 1
+        let _ = e.pop(); // now = 90 us
+        e.schedule(us(100), 0, "c"); // 39 ticks -> level 0
         let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, _, m)| m).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
+    fn one_tick_delivers_by_time_then_seq() {
+        // Every timestamp below lies in the same 256 ns tick, scheduled
+        // out of order and with ties.
+        let mut e: Engine<u32> = Engine::new();
+        let times = [200u64, 17, 255, 17, 0, 128, 200, 17];
+        for (i, &t) in times.iter().enumerate() {
+            e.schedule(Time::from_nanos(t), 0, i as u32);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| e.pop())
+            .map(|(at, _, m)| (at.as_nanos(), m))
+            .collect();
+        let mut expect: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u32))
+            .collect();
+        expect.sort();
+        assert_eq!(order, expect);
+    }
+
+    #[test]
+    fn cascade_lands_in_the_active_sorted_slot() {
+        // Tick 390 spans [99_840, 100_096) ns. "a" waits in level 1 while
+        // "b1" activates (sorts) the tick's level-0 slot; the cascade then
+        // binary-inserts "a" between the slot's remaining events.
+        let mut e: Engine<&str> = Engine::new();
+        e.schedule(Time::from_nanos(100_000), 0, "a"); // level 1
+        e.schedule(Time::from_nanos(98_000), 0, "tick");
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some("tick"));
+        e.schedule(Time::from_nanos(100_050), 0, "b2"); // level 0
+        e.schedule(Time::from_nanos(99_900), 0, "b1"); // level 0
+        e.schedule(Time::from_nanos(100_000), 0, "c"); // level 0, after "a"
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some("b1"));
+        let s = slot_for(390, 0);
+        assert!(e.levels[0].slots[s].sorted);
+        assert_eq!(e.levels[1].occupied.count_ones(), 1);
+        let rest: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, _, m)| m).collect();
+        assert_eq!(rest, vec!["a", "c", "b2"]);
+        assert!(!e.levels[0].slots[s].sorted);
+    }
+
+    #[test]
+    fn pop_until_stops_before_deadline_without_moving_the_clock() {
+        let mut e: Engine<&str> = Engine::new();
+        e.schedule(Time::from_nanos(10), 0, "near");
+        e.schedule(Time::from_nanos(5_000_000), 0, "timer"); // level 2
+        assert_eq!(e.pop_until(Time::from_nanos(9)), None);
+        assert_eq!(e.now(), Time::ZERO);
+        assert_eq!(
+            e.pop_until(Time::from_nanos(10)).map(|(_, _, m)| m),
+            Some("near")
+        );
+        assert_eq!(e.pop_until(Time::from_nanos(4_999_999)), None);
+        assert_eq!(e.now(), Time::from_nanos(10));
+        assert_eq!(e.pending(), 1);
+        assert_eq!(e.pop().map(|(_, _, m)| m), Some("timer"));
+    }
+
+    #[test]
+    fn drained_upper_slot_releases_its_buffer() {
+        let mut e: Engine<u32> = Engine::new();
+        for i in 0..100 {
+            e.schedule(Time::from_nanos(5_000_000 + i), 0, i as u32);
+        }
+        let (lvl, slot) = (2, slot_for(tick(Time::from_nanos(5_000_000)), 2));
+        assert_eq!(e.levels[lvl].slots[slot].events.len(), 100);
+        e.pop().unwrap();
+        assert_eq!(e.levels[lvl].slots[slot].events.capacity(), 0);
+        while e.pop().is_some() {}
+        assert_eq!(e.delivered(), 100);
+        // Each event was placed once in level 2 and once in level 0.
+        assert_eq!(e.inserts(), 200);
+    }
+
+    #[test]
     fn events_beyond_horizon_use_overflow_and_stay_ordered() {
         let mut e: Engine<u32> = Engine::new();
-        // One event per decade of delay, far past the 2^24 ns horizon.
+        // One event per decade of delay, far past the 2^32 ns horizon.
         let times = [
             1u64,
             100,
             10_000,
             1_000_000,
-            (1 << 24) - 1,
-            1 << 24,
-            1 << 30,
+            (1 << 32) - 1,
+            1 << 32,
+            1 << 36,
             1 << 40,
             u64::MAX,
         ];
@@ -599,11 +724,11 @@ mod tests {
             let r = next();
             // Spread delays across level 0..3 and overflow.
             let delay = match round % 5 {
-                0 => r % 64,
-                1 => 64 + r % 4_000,
-                2 => 4_096 + r % 260_000,
-                3 => 262_144 + r % 16_000_000,
-                _ => (1 << 24) + r % (1 << 28),
+                0 => r % 16_384,
+                1 => 16_384 + r % 1_000_000,
+                2 => 1_048_576 + r % 66_000_000,
+                3 => 67_108_864 + r % 4_000_000_000,
+                _ => (1 << 32) + r % (1 << 36),
             };
             e.schedule_in(Dur::nanos(delay), 0, scheduled);
             scheduled += 1;
